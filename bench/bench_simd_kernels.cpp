@@ -2,10 +2,12 @@
 // kernel, n = 16..26, emitting BENCH_simd.json.
 //
 // Times the exact block kernels the simulators run (through the same
-// dispatch + blocked decomposition), with the dispatch level forced to
-// Scalar and then restored to the detected one. Single-threaded
-// (Exec::Serial) so the numbers isolate instruction-level speedup from
-// OpenMP scaling. Acceptance target: dispatched apply_phase_slice >= 2x
+// dispatch + blocked decomposition; rx_block rows call the active family's
+// register-blocked RX directly, as the layer pipeline does), with the
+// dispatch level forced to Scalar and then restored to the detected one.
+// Single-threaded (Exec::Serial) so the numbers isolate instruction-level
+// speedup from OpenMP scaling. Butterfly rows also report ns per amplitude
+// per qubit. Acceptance target: dispatched apply_phase_slice >= 2x
 // over scalar at n = 24 on an AVX2 host.
 //
 // Smoke mode (QOKIT_BENCH_SMOKE=1 or --smoke): n = 16 only, 1 rep — used
@@ -35,6 +37,7 @@ using namespace qokit;
 struct Result {
   std::string kernel;
   int n;
+  int qubits;  // butterfly qubits per call; 0 for non-butterfly kernels
   double scalar_s;
   double dispatched_s;
 };
@@ -85,6 +88,7 @@ int main(int argc, char** argv) {
     struct Case {
       const char* name;
       std::function<void()> run;
+      int qubits = 0;
     };
     const std::vector<Case> cases = {
         {"apply_phase_slice",
@@ -97,12 +101,27 @@ int main(int argc, char** argv) {
            simd::apply_phase_table(amp, codes.data(), lut.data(), dim,
                                    Exec::Serial);
          }},
-        {"rx_q0", [&] { kern::rx(amp, dim, 0, 0.8, 0.6, Exec::Serial); }},
+        {"rx_q0", [&] { kern::rx(amp, dim, 0, 0.8, 0.6, Exec::Serial); }, 1},
         {"rx_qtop",
-         [&] { kern::rx(amp, dim, n - 1, 0.8, 0.6, Exec::Serial); }},
-        {"hadamard_q0", [&] { kern::hadamard(amp, dim, 0, Exec::Serial); }},
+         [&] { kern::rx(amp, dim, n - 1, 0.8, 0.6, Exec::Serial); }, 1},
+        // The layer pipeline's register-blocked RX: three qubits per
+        // load/store, through the active family (single call, serial).
+        {"rx_block_q1",
+         [&] {
+           simd::detail::active_kernels().rx_block(amp, 1, 3, 0, dim >> 3,
+                                                   0.8, 0.6);
+         },
+         3},
+        {"rx_block_qtop",
+         [&] {
+           simd::detail::active_kernels().rx_block(amp, n - 3, 3, 0,
+                                                   dim >> 3, 0.8, 0.6);
+         },
+         3},
+        {"hadamard_q0", [&] { kern::hadamard(amp, dim, 0, Exec::Serial); },
+         1},
         {"hadamard_qtop",
-         [&] { kern::hadamard(amp, dim, n - 1, Exec::Serial); }},
+         [&] { kern::hadamard(amp, dim, n - 1, Exec::Serial); }, 1},
         {"expectation_slice",
          [&] {
            g_sink +=
@@ -122,10 +141,14 @@ int main(int argc, char** argv) {
       const double scalar_s = time_best(reps, c.run);
       force_simd_level(native);
       const double disp_s = time_best(reps, c.run);
-      results.push_back({c.name, n, scalar_s, disp_s});
-      std::printf("n=%2d %-20s scalar %9.2f ms  dispatched %9.2f ms  %5.2fx\n",
+      results.push_back({c.name, n, c.qubits, scalar_s, disp_s});
+      std::printf("n=%2d %-20s scalar %9.2f ms  dispatched %9.2f ms  %5.2fx",
                   n, c.name, scalar_s * 1e3, disp_s * 1e3,
                   scalar_s / disp_s);
+      if (c.qubits > 0)
+        std::printf("  %.3f ns/amp/qubit",
+                    disp_s * 1e9 / (static_cast<double>(dim) * c.qubits));
+      std::printf("\n");
       std::fflush(stdout);
     }
   }
@@ -143,9 +166,16 @@ int main(int argc, char** argv) {
     const Result& r = results[i];
     std::fprintf(out,
                  "    {\"kernel\": \"%s\", \"n\": %d, \"scalar_s\": %.6f, "
-                 "\"dispatched_s\": %.6f, \"speedup\": %.3f}%s\n",
+                 "\"dispatched_s\": %.6f, \"speedup\": %.3f",
                  r.kernel.c_str(), r.n, r.scalar_s, r.dispatched_s,
-                 r.scalar_s / r.dispatched_s, i + 1 < results.size() ? "," : "");
+                 r.scalar_s / r.dispatched_s);
+    // Butterfly rows also report dispatched ns per amplitude per qubit,
+    // the unit that compares one-qubit and register-blocked kernels.
+    if (r.qubits > 0)
+      std::fprintf(out, ", \"qubits\": %d, \"ns_amp_qubit\": %.4f", r.qubits,
+                   r.dispatched_s * 1e9 /
+                       (static_cast<double>(dim_of(r.n)) * r.qubits));
+    std::fprintf(out, "}%s\n", i + 1 < results.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);

@@ -219,7 +219,9 @@ EvalResult ProblemSession::optimize(const OptimizerSpec& optimizer) const {
   if (start.p() != optimizer.p)
     throw std::invalid_argument(
         "ProblemSession::optimize: initial schedule depth does not match p");
-  QaoaBatchObjective objective(*sim_, optimizer.p);
+  // The session's own evaluator: no per-call initial state or scratch
+  // pool, so repeated optimize() calls allocate no statevectors.
+  QaoaBatchObjective objective(evaluator_, optimizer.p);
   const auto population =
       [&objective](const std::vector<std::vector<double>>& points) {
         return objective(points);

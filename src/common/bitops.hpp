@@ -57,6 +57,22 @@ inline std::uint64_t remove_bit(std::uint64_t x, int q) noexcept {
   return ((x >> (q + 1)) << q) | low;
 }
 
+/// Expand an (n-k)-bit index `g` into an n-bit index with k consecutive 0s
+/// inserted at bits [q, q+k): the base amplitude of the 2^k-member group
+/// of a k-qubit block gate on qubits [q, q+k). k == 1 is insert_zero_bit.
+inline std::uint64_t insert_zero_bits(std::uint64_t g, int q,
+                                      int k) noexcept {
+  const std::uint64_t low = g & ((1ull << q) - 1ull);
+  return ((g >> q) << (q + k)) | low;
+}
+
+/// Inverse of insert_zero_bits: delete bits [q, q+k) from `x`, closing
+/// the gap. k == 1 is remove_bit.
+inline std::uint64_t remove_bits(std::uint64_t x, int q, int k) noexcept {
+  const std::uint64_t low = x & ((1ull << q) - 1ull);
+  return ((x >> (q + k)) << q) | low;
+}
+
 /// Expand a (n-2)-bit index into an n-bit index with 0s inserted at bit
 /// positions `q_lo` < `q_hi`. Enumerates the 4-element orbits of a two-qubit
 /// gate. Precondition: q_lo < q_hi.

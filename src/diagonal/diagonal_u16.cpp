@@ -34,6 +34,7 @@ DiagonalU16 DiagonalU16::encode(const CostDiagonal& d) {
     const double level = (d[x] - lo) / out.scale_;
     const double clamped = std::clamp(std::round(level), 0.0, 65535.0);
     out.codes_[x] = static_cast<std::uint16_t>(clamped);
+    out.max_code_ = std::max(out.max_code_, out.codes_[x]);
     max_err = std::max(max_err,
                        std::abs(out.offset_ + out.scale_ * clamped - d[x]));
   }
@@ -51,8 +52,8 @@ aligned_vector<std::complex<double>> DiagonalU16::phase_table(
 
 void DiagonalU16::phase_table_into(
     double gamma, aligned_vector<std::complex<double>>& lut) const {
-  lut.resize(65536);
-  for (std::uint32_t c = 0; c < 65536; ++c) {
+  lut.resize(phase_table_size());
+  for (std::uint32_t c = 0; c < lut.size(); ++c) {
     const double ang = -gamma * (offset_ + scale_ * c);
     lut[c] = std::complex<double>(std::cos(ang), std::sin(ang));
   }
@@ -60,8 +61,8 @@ void DiagonalU16::phase_table_into(
 
 void DiagonalU16::phase_table_into(
     double gamma, aligned_vector<std::complex<float>>& lut) const {
-  lut.resize(65536);
-  for (std::uint32_t c = 0; c < 65536; ++c) {
+  lut.resize(phase_table_size());
+  for (std::uint32_t c = 0; c < lut.size(); ++c) {
     const double ang = -gamma * (offset_ + scale_ * c);
     lut[c] = std::complex<float>(static_cast<float>(std::cos(ang)),
                                  static_cast<float>(std::sin(ang)));

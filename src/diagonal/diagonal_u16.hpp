@@ -8,9 +8,10 @@
 // MaxCut with integer weights, SAT clause counts scaled by 2^k).
 //
 // A second benefit implemented here: with at most 65536 distinct codes, the
-// phase factors e^{-i gamma c_x} for a whole layer can be built as a 65536-
-// entry lookup table and gathered, replacing a sin/cos pair per amplitude
-// with a table load.
+// phase factors e^{-i gamma c_x} for a whole layer can be built as a lookup
+// table over the codes in use (max_code() + 1 entries: at most |E| + 1
+// for unit-weight MaxCut) and gathered, replacing a sin/cos pair per
+// amplitude with a table load.
 #pragma once
 
 #include <complex>
@@ -51,20 +52,28 @@ class DiagonalU16 {
   /// Largest |decode(x) - original| observed during encoding.
   double max_abs_error() const noexcept { return max_err_; }
 
+  /// Largest code in the encoding; codes run 0 .. max_code().
+  std::uint16_t max_code() const noexcept { return max_code_; }
+
+  /// Entries of a phase table: one per code in use, max_code() + 1.
+  std::uint64_t phase_table_size() const noexcept {
+    return std::uint64_t{max_code_} + 1;
+  }
+
   /// Memory held by the codes in bytes (2^n * 2).
   std::uint64_t memory_bytes() const noexcept {
     return size() * sizeof(std::uint16_t);
   }
 
   /// Phase-factor lookup table for angle gamma: lut[c] = e^{-i gamma
-  /// decode(c)}. Size 65536; rebuild per distinct gamma.
+  /// decode(c)}. Size phase_table_size(); rebuild per distinct gamma.
   aligned_vector<std::complex<double>> phase_table(double gamma) const;
 
   /// Fill a caller-owned table instead of allocating one (resize reuses
   /// capacity), so the per-layer phase application can run with zero
   /// steady-state allocations like every other hot path. The complex64
   /// overload computes each factor in double and narrows once — the
-  /// mixed-precision path's table build (256 KiB instead of 1 MiB).
+  /// mixed-precision path's table build (half the bytes).
   void phase_table_into(double gamma,
                         aligned_vector<std::complex<double>>& lut) const;
   void phase_table_into(double gamma,
@@ -76,6 +85,7 @@ class DiagonalU16 {
   double scale_ = 1.0;
   bool exact_ = false;
   double max_err_ = 0.0;
+  std::uint16_t max_code_ = 0;
   aligned_vector<std::uint16_t> codes_;
 };
 

@@ -25,8 +25,9 @@ void apply_phase_slice(cdouble* amp, const double* costs, std::uint64_t count,
 void apply_phase_slice(cfloat* amp, const double* costs, std::uint64_t count,
                        double gamma, Exec exec = Exec::Parallel);
 
-/// Phase operator through the uint16 codec: a 65536-entry phase lookup
-/// table is built once per call and gathered per amplitude.
+/// Phase operator through the uint16 codec: a phase lookup table over the
+/// codes in use (DiagonalU16::phase_table_size() entries) is built once
+/// per call and gathered per amplitude.
 void apply_phase(StateVector& sv, const DiagonalU16& diag, double gamma,
                  Exec exec = Exec::Parallel);
 

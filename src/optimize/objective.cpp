@@ -28,7 +28,14 @@ double QaoaObjective::operator()(const std::vector<double>& x) const {
 
 QaoaBatchObjective::QaoaBatchObjective(const QaoaFastSimulatorBase& sim, int p,
                                        BatchOptions opts)
-    : evaluator_(sim, opts), p_(p) {
+    : owned_(std::make_unique<BatchEvaluator>(sim, opts)),
+      evaluator_(owned_.get()),
+      p_(p) {
+  if (p < 1) throw std::invalid_argument("QaoaBatchObjective: p must be >= 1");
+}
+
+QaoaBatchObjective::QaoaBatchObjective(const BatchEvaluator& evaluator, int p)
+    : evaluator_(&evaluator), p_(p) {
   if (p < 1) throw std::invalid_argument("QaoaBatchObjective: p must be >= 1");
 }
 
@@ -40,7 +47,7 @@ std::vector<double> QaoaBatchObjective::operator()(
           "QaoaBatchObjective: expected 2p parameters");
   evals_ += static_cast<int>(points.size());
   ++batches_;
-  return evaluator_.expectations_packed(points);
+  return evaluator_->expectations_packed(points);
 }
 
 }  // namespace qokit

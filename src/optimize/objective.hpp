@@ -57,6 +57,12 @@ class QaoaBatchObjective {
   QaoaBatchObjective(const QaoaFastSimulatorBase& sim, int p,
                      BatchOptions opts = {});
 
+  /// Drive an existing evaluator (which must outlive the objective)
+  /// instead of building one: its cached initial state and warmed scratch
+  /// pool carry over, so a session's repeated optimize() calls allocate
+  /// no statevectors.
+  QaoaBatchObjective(const BatchEvaluator& evaluator, int p);
+
   /// Objective values of a population of packed points (each size 2p),
   /// in submission order.
   std::vector<double> operator()(
@@ -71,10 +77,11 @@ class QaoaBatchObjective {
   void reset_count() { evals_ = batches_ = 0; }
 
   int p() const { return p_; }
-  const BatchEvaluator& evaluator() const { return evaluator_; }
+  const BatchEvaluator& evaluator() const { return *evaluator_; }
 
  private:
-  BatchEvaluator evaluator_;
+  std::unique_ptr<BatchEvaluator> owned_;  ///< set by the simulator ctor
+  const BatchEvaluator* evaluator_;
   int p_;
   mutable int evals_ = 0;
   mutable int batches_ = 0;

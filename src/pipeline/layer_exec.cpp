@@ -8,16 +8,18 @@
 //     shorter) — so the AVX2 kernels partition elements into the same
 //     absolute groups of 4 as dispatch.cpp's kSimdBlock blocks, and the
 //     same elements take the vector vs libm-fallback path.
-//  2. Butterfly kernels are called on pair ranges with even start and even
-//     length that never split a contiguous run mid-vector — so the same
-//     absolute pairs land in the same 2-pair vector groups and no pair
-//     falls to a (differently rounded) scalar tail in one decomposition
-//     but not the other.
+//  2. Butterfly kernels are called on pair (or rx_block group) ranges
+//     that are whole tiles or whole chunks of >= 4 amplitudes — whole
+//     contiguous runs or multiples of 4 within one — so no pair falls to
+//     a (differently rounded) scalar tail in one decomposition but not
+//     the other. RX passes advance up to kRxBlockMax qubits per
+//     rx_block call, whose contract (simd/kernels.hpp) is exactly the
+//     arithmetic of that many successive rx_pairs calls.
 //
 // Given those, per-amplitude results depend only on (input values, qubit,
-// dispatch level) — not on traversal order — and each pass applies its
-// operations to each amplitude in exactly the unfused order (phase first,
-// then butterflies by ascending qubit).
+// dispatch level) — not on traversal order or qubit grouping — and each
+// pass applies its operations to each amplitude in exactly the unfused
+// order (phase first, then butterflies by ascending qubit).
 #include "pipeline/layer_exec.hpp"
 
 #include <algorithm>
@@ -109,19 +111,27 @@ void phase_unit(const simd::detail::KernelsT<T>& k, std::complex<T>* amp,
     k.phase(amp + base, ctx.costs + base, count, gamma);
 }
 
-/// One butterfly qubit over the contiguous tile [base, base+count): for
-/// q < log2(count) and base a multiple of count, the pair indices covering
-/// exactly this tile are [base/2, (base+count)/2).
+/// Qubits one butterfly call advances from q on a pass ending at q_end:
+/// RX runs up to kRxBlockMax register-blocked qubits per load/store;
+/// Hadamard passes stay one qubit at a time.
+int butterfly_width(PassButterfly butterfly, int q, int q_end) {
+  return butterfly == PassButterfly::Rx
+             ? std::min(simd::detail::kRxBlockMax, q_end - q)
+             : 1;
+}
+
+/// Butterflies for qubits [q, q+width) over the groups [gb, gb+count) —
+/// group g being the amplitudes with bits [q, q+width) inserted as zero
+/// into g (for width 1, rx_pairs' and hadamard_pairs' pair index).
 template <class T>
-void butterfly_tile(const simd::detail::KernelsT<T>& k, std::complex<T>* amp,
-                    std::uint64_t base, std::uint64_t count, int q,
-                    PassButterfly butterfly, double c, double s) {
-  const std::uint64_t kb = base >> 1;
-  const std::uint64_t ke = (base + count) >> 1;
+void butterfly_groups(const simd::detail::KernelsT<T>& k,
+                      std::complex<T>* amp, int q, int width,
+                      std::uint64_t gb, std::uint64_t count,
+                      PassButterfly butterfly, double c, double s) {
   if (butterfly == PassButterfly::Rx)
-    k.rx_pairs(amp, q, kb, ke, c, s);
+    k.rx_block(amp, q, width, gb, gb + count, c, s);
   else
-    k.hadamard_pairs(amp, q, kb, ke);
+    k.hadamard_pairs(amp, q, gb, gb + count);
 }
 
 template <class T>
@@ -151,8 +161,15 @@ void run_tile_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
                   phase_unit(k, amp, ctx, base, tile, gamma);
                 }
               }
-              for (; q < p.q_end; ++q)
-                butterfly_tile(k, amp, base, tile, q, p.butterfly, c, s);
+              // For q + width <= log2(tile) and base a multiple of tile,
+              // the groups covering exactly this tile are
+              // [base, base + tile) >> width.
+              while (q < p.q_end) {
+                const int width = butterfly_width(p.butterfly, q, p.q_end);
+                butterfly_groups(k, amp, q, width, base >> width,
+                                 tile >> width, p.butterfly, c, s);
+                q += width;
+              }
               if (p.post == PassPhase::Popcount)
                 k.phase_popcount(amp + base, base, tile, pop_table);
               if (red)
@@ -179,20 +196,22 @@ void run_strided_pass(const simd::detail::KernelsT<T>& k, const LayerPass& p,
         const std::uint64_t blk = static_cast<std::uint64_t>(u / cols) << b;
         const std::uint64_t col = static_cast<std::uint64_t>(u % cols)
                                   << p.width_log2;
-        // All g butterflies on the cache-resident 2^g-row working set;
-        // partners for qubit q = a + j are rows r and r | 2^j, both inside
-        // the set, so ascending-q order sees exactly the unfused dataflow.
-        for (int q = a; q < b; ++q) {
-          const std::uint64_t rbit = 1ull << (q - a);
+        // All g butterflies on the cache-resident 2^g-row working set,
+        // `width` qubits per call; partners for qubit q = a + j are rows
+        // r and r | 2^j, both inside the set, so ascending-q order sees
+        // exactly the unfused dataflow. A call covers the 2^width rows
+        // r + m 2^(q-a) of one row group; their chunks are one contiguous
+        // group range because chunk <= 2^a <= 2^q.
+        for (int q = a; q < b;) {
+          const int width = butterfly_width(p.butterfly, q, b);
+          const std::uint64_t rmask = ((1ull << width) - 1) << (q - a);
           for (std::uint64_t r = 0; r < rows; ++r) {
-            if (r & rbit) continue;
+            if (r & rmask) continue;
             const std::uint64_t i0 = blk + r * row + col;
-            const std::uint64_t kb = remove_bit(i0, q);
-            if (p.butterfly == PassButterfly::Rx)
-              k.rx_pairs(amp, q, kb, kb + chunk, c, s);
-            else
-              k.hadamard_pairs(amp, q, kb, kb + chunk);
+            butterfly_groups(k, amp, q, width, remove_bits(i0, q, width),
+                             chunk, p.butterfly, c, s);
           }
+          q += width;
         }
         if (p.post == PassPhase::Popcount)
           for (std::uint64_t r = 0; r < rows; ++r) {

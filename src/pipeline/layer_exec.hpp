@@ -22,7 +22,8 @@ namespace qokit::pipeline {
 /// How run_layer applies the diagonal phase e^{-i gamma C}. Exactly one
 /// source must be set: `costs` for the double-precision diagonal (sliced
 /// at the same offsets as the amplitudes), or `codes` + `table` for the
-/// uint16 codec (table = the per-gamma 65536-entry factor lookup).
+/// uint16 codec (table = the per-gamma factor lookup, one entry per code
+/// in use: DiagonalU16::phase_table_size()).
 /// Templated on the amplitude scalar: costs and codes stay double/u16 at
 /// both precisions (the f32 path narrows only the per-amplitude factors,
 /// so the table element type follows the amplitudes).

@@ -229,10 +229,37 @@ void ScheduleServer::accept_loop() {
       ::close(fd);
       return;
     }
+    reap_finished_connections();
     const MutexLock lock(conn_mu_);
     conn_fds_.push_back(fd);
-    conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    try {
+      conn_threads_.emplace_back([this, fd] { connection_loop(fd); });
+    } catch (const std::exception&) {
+      // Thread creation failed (std::system_error at the process's thread
+      // limit) or the registry could not grow: refuse this connection
+      // instead of letting the exception reach std::terminate.
+      conn_fds_.pop_back();
+      ::close(fd);
+    }
   }
+}
+
+void ScheduleServer::reap_finished_connections() {
+  std::vector<std::thread> finished;
+  {
+    const MutexLock lock(conn_mu_);
+    for (const std::thread::id id : conn_done_) {
+      const auto it = std::find_if(
+          conn_threads_.begin(), conn_threads_.end(),
+          [id](const std::thread& t) { return t.get_id() == id; });
+      finished.push_back(std::move(*it));
+      conn_threads_.erase(it);
+    }
+    conn_done_.clear();
+  }
+  // Each listed thread has made its last registry access; the joins only
+  // wait out its final close().
+  for (std::thread& t : finished) t.join();
 }
 
 void ScheduleServer::connection_loop(int fd) {
@@ -267,6 +294,7 @@ void ScheduleServer::connection_loop(int fd) {
     const MutexLock lock(conn_mu_);
     conn_fds_.erase(std::remove(conn_fds_.begin(), conn_fds_.end(), fd),
                     conn_fds_.end());
+    conn_done_.push_back(std::this_thread::get_id());
   }
   ::shutdown(fd, SHUT_RDWR);
   ::close(fd);

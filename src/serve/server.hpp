@@ -93,6 +93,8 @@ class ScheduleServer {
 
   void worker_loop();
   void accept_loop();
+  /// Join the connection threads listed in conn_done_ (acceptor only).
+  void reap_finished_connections();
   void connection_loop(int fd);
   Response handle(Request& request,
                   std::chrono::steady_clock::time_point enqueued);
@@ -108,12 +110,16 @@ class ScheduleServer {
   // exactly the descriptors still owned by connection threads -- see the
   // deregister-before-close comment in connection_loop) and the
   // connection threads themselves (swapped out and joined in batches by
-  // shutdown()).
+  // shutdown()). A connection thread records its id in conn_done_ as its
+  // last registry action; the acceptor joins those threads on the next
+  // accept, so a long-lived server holds at most the live connections
+  // plus the ones that ended since the last accept.
   int listen_fd_ = -1;
   std::thread acceptor_;
   Mutex conn_mu_;
   std::vector<int> conn_fds_ QOKIT_GUARDED_BY(conn_mu_);
   std::vector<std::thread> conn_threads_ QOKIT_GUARDED_BY(conn_mu_);
+  std::vector<std::thread::id> conn_done_ QOKIT_GUARDED_BY(conn_mu_);
 };
 
 /// Minimal blocking client for the socket front end (tests, the load

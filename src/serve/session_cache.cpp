@@ -62,10 +62,11 @@ std::uint64_t session_footprint_bytes(const api::ProblemSession& session) {
           dynamic_cast<const FurQaoaSimulator*>(&session.simulator())) {
     bytes += fur->layer_plan().passes().size() * sizeof(pipeline::LayerPass);
     if (fur->config().use_u16) {
-      const std::uint64_t dim = std::uint64_t{1} << n;
-      // uint16 code per amplitude, plus the 65536-entry phase-factor
-      // table rebuilt per gamma at the amplitude precision.
-      bytes += dim * 2 + std::uint64_t{65536} * amplitude_bytes(prec);
+      const DiagonalU16& diag16 = fur->diagonal_u16();
+      // uint16 code per amplitude, plus the phase-factor table (one entry
+      // per code in use) rebuilt per gamma at the amplitude precision.
+      bytes += diag16.memory_bytes() +
+               diag16.phase_table_size() * amplitude_bytes(prec);
     }
   }
   return bytes;

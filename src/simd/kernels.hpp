@@ -55,7 +55,8 @@ void apply_phase_slice(cfloat* amp, const double* costs, std::uint64_t count,
                        double gamma, Exec exec);
 
 /// amp[i] *= table[codes[i]]: the u16 diagonal's table-driven phase pass.
-/// `table` must hold one phase factor per possible code (built per gamma).
+/// `table` must hold one phase factor per code that occurs in `codes`
+/// (built per gamma).
 void apply_phase_table(cdouble* amp, const std::uint16_t* codes,
                        const cdouble* table, std::uint64_t count, Exec exec);
 void apply_phase_table(cfloat* amp, const std::uint16_t* codes,
@@ -106,6 +107,11 @@ double overlap_ground(const cfloat* amp, const double* costs,
 
 namespace detail {
 
+/// Widest qubit group KernelsT::rx_block applies per load/store: 2^3
+/// amplitudes (8 AVX2 registers at either precision) plus the constants
+/// and temporaries still fit the 16-register file.
+inline constexpr int kRxBlockMax = 3;
+
 /// One kernel family at amplitude scalar T: block-range entry points the
 /// dispatcher drives. Elementwise/reduction kernels receive already-offset
 /// pointers and a count; butterfly kernels receive the full array plus a
@@ -127,6 +133,25 @@ struct KernelsT {
   void (*phase_rx)(C* amp, const double* costs, std::uint64_t count,
                    double gamma, double c, double s);
   void (*rx_pairs)(C* x, int qubit, std::uint64_t kb, std::uint64_t ke,
+                   double c, double s);
+  /// The RX butterflies of k = 1..kRxBlockMax consecutive qubits
+  /// [q0, q0+k) in one load/store per amplitude. Group g in [gb, ge)
+  /// owns the 2^k amplitudes insert_zero_bits(g, q0, k) + m * 2^q0 for
+  /// m in [0, 2^k) (the rx_pairs pair-range contract with k bits inserted
+  /// instead of one); its members stay in registers while the k
+  /// butterflies run in ascending-qubit order. Each amplitude sees
+  /// exactly the arithmetic of k successive rx_pairs calls, bit for bit,
+  /// in the two forms the layer executor issues:
+  ///  - contiguous: [gb, ge) = [lo, hi) >> k for an aligned block of
+  ///    2^(q0+k) or more amplitudes, matching rx_pairs(q0 + j, lo >> 1,
+  ///    hi >> 1) for j = 0..k-1 (a whole tile);
+  ///  - strided rows, q0 >= 2: a range inside one run (groups sharing
+  ///    their bits above q0), matching one rx_pairs call per block qubit
+  ///    and member row over the same chunk.
+  /// Other ranges still get k correct butterflies, but the vector/scalar
+  /// split of a partial run may round differently (the AVX2 families hand
+  /// a partial vector step to the scalar family). k == 1 is rx_pairs.
+  void (*rx_block)(C* x, int q0, int k, std::uint64_t gb, std::uint64_t ge,
                    double c, double s);
   void (*hadamard_pairs)(C* x, int qubit, std::uint64_t kb,
                          std::uint64_t ke);

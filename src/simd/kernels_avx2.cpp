@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/bitops.hpp"
 
@@ -106,8 +107,30 @@ inline __m256d cmul_bcast(__m256d a, __m256d f_re, __m256d f_im) {
   return _mm256_fmaddsub_pd(a, f_re, _mm256_mul_pd(a_sw, f_im));
 }
 
-/// Sign mask flipping the odd (imaginary-slot) lanes.
-inline __m256d neg_odd() { return _mm256_setr_pd(0.0, -0.0, 0.0, -0.0); }
+/// The e^{-i beta X} update of amplitude register `a` against `b_sw`, its
+/// partners with re/im swapped: re = c a_re + s b_im, im = c a_im - s b_re
+/// (fmsubadd adds the product on even lanes, subtracts it on odd ones).
+/// Equal bit for bit to fmadd(c, a, s * (b_sw with odd lanes negated)),
+/// one FP op fewer: round(s * -y) == -round(s * y) and x - y == x + (-y)
+/// in IEEE arithmetic (pinned against a std::fma reference by
+/// test_simd_kernels).
+inline __m256d rx_update(__m256d vc, __m256d vs, __m256d a, __m256d b_sw) {
+  return _mm256_fmsubadd_pd(vc, a, _mm256_mul_pd(vs, b_sw));
+}
+
+/// Qubit-0 butterfly inside one register [x0, x1]: the partner operand
+/// [i1, r1, i0, r0] is a full lane reversal.
+inline __m256d rx_q0(__m256d vc, __m256d vs, __m256d a) {
+  return rx_update(vc, vs, a, _mm256_permute4x64_pd(a, 0x1B));
+}
+
+/// Butterfly between two registers holding partner amplitudes lane for
+/// lane (any qubit whose stride spans at least a register).
+inline void rx_pair_regs(__m256d vc, __m256d vs, __m256d& a, __m256d& b) {
+  const __m256d na = rx_update(vc, vs, a, _mm256_permute_pd(b, 0x5));
+  b = rx_update(vc, vs, b, _mm256_permute_pd(a, 0x5));
+  a = na;
+}
 
 // Tail/fallback elements run the *scalar family's* function (compiled
 // without FMA contraction in its own TU), so they match the scalar dispatch
@@ -165,7 +188,6 @@ void phase_rx_avx2(cdouble* amp, const double* costs, std::uint64_t count,
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffll));
   const __m256d vc = _mm256_set1_pd(c);
   const __m256d vs = _mm256_set1_pd(s);
-  const __m256d nodd = neg_odd();
   std::uint64_t i = 0;
   for (; i + 4 <= count; i += 4) {
     __m256d p01, p23;
@@ -185,24 +207,15 @@ void phase_rx_avx2(cdouble* amp, const double* costs, std::uint64_t count,
       p01 = cmul_bcast(_mm256_loadu_pd(d + 2 * i), f01_re, f01_im);
       p23 = cmul_bcast(_mm256_loadu_pd(d + 2 * i + 4), f23_re, f23_im);
     }
-    const __m256d m01 =
-        _mm256_xor_pd(_mm256_permute4x64_pd(p01, 0x1B), nodd);
-    _mm256_storeu_pd(d + 2 * i,
-                     _mm256_fmadd_pd(vc, p01, _mm256_mul_pd(vs, m01)));
-    const __m256d m23 =
-        _mm256_xor_pd(_mm256_permute4x64_pd(p23, 0x1B), nodd);
-    _mm256_storeu_pd(d + 2 * i + 4,
-                     _mm256_fmadd_pd(vc, p23, _mm256_mul_pd(vs, m23)));
+    _mm256_storeu_pd(d + 2 * i, rx_q0(vc, vs, p01));
+    _mm256_storeu_pd(d + 2 * i + 4, rx_q0(vc, vs, p23));
   }
   if (i < count) {
     // count % 4 == 2: one pair left. Scalar-family phase (the unfused
     // kernel's own tail policy), then the in-register qubit-0 butterfly
     // rx_pairs_avx2 applies to every pair.
     phase_scalar_tail(amp + i, costs + i, count - i, gamma);
-    const __m256d a = _mm256_loadu_pd(d + 2 * i);
-    const __m256d m = _mm256_xor_pd(_mm256_permute4x64_pd(a, 0x1B), nodd);
-    _mm256_storeu_pd(d + 2 * i,
-                     _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vs, m)));
+    _mm256_storeu_pd(d + 2 * i, rx_q0(vc, vs, _mm256_loadu_pd(d + 2 * i)));
   }
 }
 
@@ -244,18 +257,11 @@ void rx_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb, std::uint64_t ke,
                    double c, double s) {
   const __m256d vc = _mm256_set1_pd(c);
   const __m256d vs = _mm256_set1_pd(s);
-  const __m256d nodd = neg_odd();
   double* d = reinterpret_cast<double*>(x);
   if (qubit == 0) {
-    // Pair (x0, x1) is one register: [r0, i0, r1, i1]. The cross-partner
-    // operand [i1, -r1, i0, -r0] is a full-register lane reversal + sign.
-    for (std::uint64_t k = kb; k < ke; ++k) {
-      const __m256d a = _mm256_loadu_pd(d + 4 * k);
-      const __m256d m =
-          _mm256_xor_pd(_mm256_permute4x64_pd(a, 0x1B), nodd);
-      _mm256_storeu_pd(d + 4 * k,
-                       _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vs, m)));
-    }
+    // Pair (x0, x1) is one register: [r0, i0, r1, i1].
+    for (std::uint64_t k = kb; k < ke; ++k)
+      _mm256_storeu_pd(d + 4 * k, rx_q0(vc, vs, _mm256_loadu_pd(d + 4 * k)));
     return;
   }
   // qubit >= 1: pairs form two contiguous streams of `stride` amplitudes.
@@ -268,19 +274,99 @@ void rx_pairs_avx2(cdouble* x, int qubit, std::uint64_t kb, std::uint64_t ke,
     double* p1 = p0 + 2 * stride;
     std::uint64_t j = 0;
     for (; j + 2 <= run; j += 2) {
-      const __m256d a = _mm256_loadu_pd(p0 + 2 * j);
-      const __m256d b = _mm256_loadu_pd(p1 + 2 * j);
-      const __m256d mb = _mm256_xor_pd(_mm256_permute_pd(b, 0x5), nodd);
-      const __m256d ma = _mm256_xor_pd(_mm256_permute_pd(a, 0x5), nodd);
-      _mm256_storeu_pd(p0 + 2 * j,
-                       _mm256_fmadd_pd(vc, a, _mm256_mul_pd(vs, mb)));
-      _mm256_storeu_pd(p1 + 2 * j,
-                       _mm256_fmadd_pd(vc, b, _mm256_mul_pd(vs, ma)));
+      __m256d a = _mm256_loadu_pd(p0 + 2 * j);
+      __m256d b = _mm256_loadu_pd(p1 + 2 * j);
+      rx_pair_regs(vc, vs, a, b);
+      _mm256_storeu_pd(p0 + 2 * j, a);
+      _mm256_storeu_pd(p1 + 2 * j, b);
     }
     // Odd-pair remainder: delegate to the scalar family (same tail policy
     // as the phase kernel — a local loop here would FMA-contract).
     if (j < run) detail::scalar_kernels.rx_pairs(x, qubit, k + j, k + run, c, s);
     k += run;
+  }
+}
+
+/// f(std::integral_constant<int, I>{}) for I = 0 .. N-1, expanded at
+/// compile time: register arrays indexed by those constants stay in
+/// registers (a runtime loop index spills them to the stack).
+template <int N, class F>
+inline void unroll(const F& f) {
+  [&]<int... I>(std::integer_sequence<int, I...>) {
+    (f(std::integral_constant<int, I>{}), ...);
+  }(std::make_integer_sequence<int, N>{});
+}
+
+/// Butterflies of block qubits [0, K) over 2^K registers, member m's
+/// partner for block qubit j being r[m | 2^j]: ascending qubit order, every
+/// intermediate in registers. `pair` is the precision's rx_pair_regs.
+template <int K, class V, class Pair>
+inline void rx_regs(V* r, const Pair& pair) {
+  unroll<K>([&](auto j) {
+    unroll<(1 << K)>([&](auto m) {
+      constexpr int kJ = decltype(j)::value;
+      constexpr int kM = decltype(m)::value;
+      if constexpr (!((kM >> kJ) & 1)) pair(r[kM], r[kM | (1 << kJ)]);
+    });
+  });
+}
+
+template <int K>
+void rx_block_avx2_k(cdouble* x, int q0, std::uint64_t gb, std::uint64_t ge,
+                     double c, double s) {
+  const __m256d vc = _mm256_set1_pd(c);
+  const __m256d vs = _mm256_set1_pd(s);
+  const auto pair = [&](__m256d& a, __m256d& b) {
+    rx_pair_regs(vc, vs, a, b);
+  };
+  double* d = reinterpret_cast<double*>(x);
+  if (q0 == 0) {
+    // Group g is the 2^K contiguous amplitudes from g * 2^K: qubit-0
+    // pairs sit inside each register, block qubits 1.. between registers.
+    constexpr int kRegs = 1 << (K - 1);
+    for (std::uint64_t g = gb; g < ge; ++g) {
+      double* p = d + (g << (K + 1));
+      __m256d r[kRegs];
+      unroll<kRegs>(
+          [&](auto i) { r[i] = rx_q0(vc, vs, _mm256_loadu_pd(p + 4 * i)); });
+      rx_regs<K - 1>(r, pair);
+      unroll<kRegs>([&](auto i) { _mm256_storeu_pd(p + 4 * i, r[i]); });
+    }
+    return;
+  }
+  // q0 >= 1: runs of 2^q0 groups, two per register; member m of the
+  // groups at run offset j starts at amplitude base + m * 2^q0 + j.
+  const std::uint64_t stride = 1ull << q0;
+  std::uint64_t g = gb;
+  while (g < ge) {
+    const std::uint64_t run = std::min(ge - g, stride - (g & (stride - 1)));
+    double* p = reinterpret_cast<double*>(x + insert_zero_bits(g, q0, K));
+    std::uint64_t j = 0;
+    for (; j + 2 <= run; j += 2) {
+      __m256d r[1 << K];
+      unroll<(1 << K)>(
+          [&](auto m) { r[m] = _mm256_loadu_pd(p + 2 * (m * stride + j)); });
+      rx_regs<K>(r, pair);
+      unroll<(1 << K)>(
+          [&](auto m) { _mm256_storeu_pd(p + 2 * (m * stride + j), r[m]); });
+    }
+    // Partial vector step (only ranges outside the rx_block contract):
+    // the scalar family, as rx_pairs' odd-pair remainder.
+    if (j < run)
+      detail::scalar_kernels.rx_block(x, q0, K, g + j, g + run, c, s);
+    g += run;
+  }
+}
+
+void rx_block_avx2(cdouble* x, int q0, int k, std::uint64_t gb,
+                   std::uint64_t ge, double c, double s) {
+  switch (k) {
+    case 3:
+      return rx_block_avx2_k<3>(x, q0, gb, ge, c, s);
+    case 2:
+      return rx_block_avx2_k<2>(x, q0, gb, ge, c, s);
+    default:
+      return rx_pairs_avx2(x, q0, gb, ge, c, s);
   }
 }
 
@@ -416,9 +502,35 @@ double overlap_avx2(const cdouble* amp, const double* costs, double threshold,
 // containment contract). Tails and odd remainders delegate to the scalar
 // f32 family, mirroring the f64 policy.
 
-/// Sign mask flipping the odd (imaginary-slot) float lanes.
-inline __m256 neg_odd_ps() {
-  return _mm256_setr_ps(0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f, 0.0f, -0.0f);
+/// rx_update at f32: re = c a_re + s b_im, im = c a_im - s b_re.
+inline __m256 rx_update_ps(__m256 vc, __m256 vs, __m256 a, __m256 b_sw) {
+  return _mm256_fmsubadd_ps(vc, a, _mm256_mul_ps(vs, b_sw));
+}
+
+/// Qubit-0 butterflies inside one register: two pairs, one per 128-bit
+/// lane [r0, i0, r1, i1], whose partner operand is a within-lane reversal.
+inline __m256 rx_q0_ps(__m256 vc, __m256 vs, __m256 a) {
+  return rx_update_ps(vc, vs, a, _mm256_permute_ps(a, 0x1B));
+}
+
+/// Qubit-1 butterflies inside one register [x0, x1, x2, x3] (partners
+/// x0/x2 and x1/x3 across the 128-bit halves) with the scalar family's
+/// separately rounded products: rx_pairs_avx2_f32 hands every qubit-1
+/// pair to the scalar family (a stride-2 run never fills a register), so
+/// this is the arithmetic to reproduce. vns = -s, and
+/// addsub(x, -y) == x + y on even lanes, x - y on odd ones, exactly.
+inline __m256 rx_q1_unfused_ps(__m256 vc, __m256 vns, __m256 a) {
+  const __m256 b_sw =
+      _mm256_permute_ps(_mm256_permute2f128_ps(a, a, 0x01), 0xB1);
+  return _mm256_addsub_ps(_mm256_mul_ps(vc, a), _mm256_mul_ps(vns, b_sw));
+}
+
+/// Butterfly between two registers holding partner amplitudes lane for
+/// lane (qubits whose stride spans at least a register).
+inline void rx_pair_regs_ps(__m256 vc, __m256 vs, __m256& a, __m256& b) {
+  const __m256 na = rx_update_ps(vc, vs, a, _mm256_permute_ps(b, 0xB1));
+  b = rx_update_ps(vc, vs, b, _mm256_permute_ps(a, 0xB1));
+  a = na;
 }
 
 /// (a * f) for interleaved a and per-complex broadcast halves
@@ -477,7 +589,6 @@ void phase_rx_avx2_f32(cfloat* amp, const double* costs, std::uint64_t count,
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffll));
   const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
   const __m256 vs = _mm256_set1_ps(static_cast<float>(s));
-  const __m256 nodd = neg_odd_ps();
   std::uint64_t i = 0;
   for (; i + 4 <= count; i += 4) {
     __m256 p;
@@ -492,9 +603,7 @@ void phase_rx_avx2_f32(cfloat* amp, const double* costs, std::uint64_t count,
       p = cmul_bcast_ps(_mm256_loadu_ps(d + 2 * i), spread4_ps(vcos),
                         spread4_ps(vsin));
     }
-    const __m256 m = _mm256_xor_ps(_mm256_permute_ps(p, 0x1B), nodd);
-    _mm256_storeu_ps(d + 2 * i,
-                     _mm256_fmadd_ps(vc, p, _mm256_mul_ps(vs, m)));
+    _mm256_storeu_ps(d + 2 * i, rx_q0_ps(vc, vs, p));
   }
   // count % 4 == 2: one pair left; the scalar family fuses it whole.
   if (i < count)
@@ -550,18 +659,11 @@ void rx_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
                        std::uint64_t ke, double c, double s) {
   const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
   const __m256 vs = _mm256_set1_ps(static_cast<float>(s));
-  const __m256 nodd = neg_odd_ps();
   float* d = reinterpret_cast<float*>(x);
   if (qubit == 0) {
-    // Two pairs per register; each pair is one 128-bit lane [r0,i0,r1,i1]
-    // whose cross-partner operand is a within-lane reversal + sign.
     std::uint64_t k = kb;
-    for (; k + 2 <= ke; k += 2) {
-      const __m256 a = _mm256_loadu_ps(d + 4 * k);
-      const __m256 m = _mm256_xor_ps(_mm256_permute_ps(a, 0x1B), nodd);
-      _mm256_storeu_ps(d + 4 * k,
-                       _mm256_fmadd_ps(vc, a, _mm256_mul_ps(vs, m)));
-    }
+    for (; k + 2 <= ke; k += 2)
+      _mm256_storeu_ps(d + 4 * k, rx_q0_ps(vc, vs, _mm256_loadu_ps(d + 4 * k)));
     if (k < ke) detail::scalar_kernels_f32.rx_pairs(x, qubit, k, ke, c, s);
     return;
   }
@@ -575,18 +677,86 @@ void rx_pairs_avx2_f32(cfloat* x, int qubit, std::uint64_t kb,
     float* p1 = p0 + 2 * stride;
     std::uint64_t j = 0;
     for (; j + 4 <= run; j += 4) {
-      const __m256 a = _mm256_loadu_ps(p0 + 2 * j);
-      const __m256 b = _mm256_loadu_ps(p1 + 2 * j);
-      const __m256 mb = _mm256_xor_ps(_mm256_permute_ps(b, 0xB1), nodd);
-      const __m256 ma = _mm256_xor_ps(_mm256_permute_ps(a, 0xB1), nodd);
-      _mm256_storeu_ps(p0 + 2 * j,
-                       _mm256_fmadd_ps(vc, a, _mm256_mul_ps(vs, mb)));
-      _mm256_storeu_ps(p1 + 2 * j,
-                       _mm256_fmadd_ps(vc, b, _mm256_mul_ps(vs, ma)));
+      __m256 a = _mm256_loadu_ps(p0 + 2 * j);
+      __m256 b = _mm256_loadu_ps(p1 + 2 * j);
+      rx_pair_regs_ps(vc, vs, a, b);
+      _mm256_storeu_ps(p0 + 2 * j, a);
+      _mm256_storeu_ps(p1 + 2 * j, b);
     }
     if (j < run)
       detail::scalar_kernels_f32.rx_pairs(x, qubit, k + j, k + run, c, s);
     k += run;
+  }
+}
+
+template <int K>
+void rx_block_avx2_f32_k(cfloat* x, int q0, std::uint64_t gb,
+                         std::uint64_t ge, double c, double s) {
+  const __m256 vc = _mm256_set1_ps(static_cast<float>(c));
+  const __m256 vs = _mm256_set1_ps(static_cast<float>(s));
+  const __m256 vns = _mm256_set1_ps(-static_cast<float>(s));
+  const auto pair = [&](__m256& a, __m256& b) {
+    rx_pair_regs_ps(vc, vs, a, b);
+  };
+  const std::uint64_t stride = 1ull << q0;
+  std::uint64_t g = gb;
+  while (g < ge) {
+    const std::uint64_t run = std::min(ge - g, stride - (g & (stride - 1)));
+    float* p = reinterpret_cast<float*>(x + insert_zero_bits(g, q0, K));
+    std::uint64_t j = 0;
+    if (q0 < 2) {
+      // A whole run (2^q0 groups) is 2^(q0+K) contiguous amplitudes:
+      // block qubits below 2 pair inside each register (qubit 0 fused,
+      // qubit 1 with rx_pairs' scalar-family rounding), the rest between
+      // registers.
+      if (run == stride) {
+        if (q0 == 0) {
+          constexpr int kRegs = 1 << (K - 2);
+          __m256 r[kRegs];
+          unroll<kRegs>([&](auto i) {
+            r[i] = rx_q1_unfused_ps(
+                vc, vns, rx_q0_ps(vc, vs, _mm256_loadu_ps(p + 8 * i)));
+          });
+          rx_regs<K - 2>(r, pair);
+          unroll<kRegs>([&](auto i) { _mm256_storeu_ps(p + 8 * i, r[i]); });
+        } else {
+          constexpr int kRegs = 1 << (K - 1);
+          __m256 r[kRegs];
+          unroll<kRegs>([&](auto i) {
+            r[i] = rx_q1_unfused_ps(vc, vns, _mm256_loadu_ps(p + 8 * i));
+          });
+          rx_regs<K - 1>(r, pair);
+          unroll<kRegs>([&](auto i) { _mm256_storeu_ps(p + 8 * i, r[i]); });
+        }
+        j = run;
+      }
+    } else {
+      // q0 >= 2: four groups per register; member m of the groups at run
+      // offset j starts at amplitude base + m * 2^q0 + j.
+      for (; j + 4 <= run; j += 4) {
+        __m256 r[1 << K];
+        unroll<(1 << K)>(
+            [&](auto m) { r[m] = _mm256_loadu_ps(p + 2 * (m * stride + j)); });
+        rx_regs<K>(r, pair);
+        unroll<(1 << K)>(
+            [&](auto m) { _mm256_storeu_ps(p + 2 * (m * stride + j), r[m]); });
+      }
+    }
+    if (j < run)
+      detail::scalar_kernels_f32.rx_block(x, q0, K, g + j, g + run, c, s);
+    g += run;
+  }
+}
+
+void rx_block_avx2_f32(cfloat* x, int q0, int k, std::uint64_t gb,
+                       std::uint64_t ge, double c, double s) {
+  switch (k) {
+    case 3:
+      return rx_block_avx2_f32_k<3>(x, q0, gb, ge, c, s);
+    case 2:
+      return rx_block_avx2_f32_k<2>(x, q0, gb, ge, c, s);
+    default:
+      return rx_pairs_avx2_f32(x, q0, gb, ge, c, s);
   }
 }
 
@@ -722,6 +892,7 @@ const Kernels avx2_kernels = {
     .phase_popcount = phase_popcount_avx2,
     .phase_rx = phase_rx_avx2,
     .rx_pairs = rx_pairs_avx2,
+    .rx_block = rx_block_avx2,
     .hadamard_pairs = hadamard_pairs_avx2,
     .expectation = expectation_avx2,
     .expectation_u16 = expectation_u16_avx2,
@@ -735,6 +906,7 @@ const KernelsF32 avx2_kernels_f32 = {
     .phase_popcount = phase_popcount_avx2_f32,
     .phase_rx = phase_rx_avx2_f32,
     .rx_pairs = rx_pairs_avx2_f32,
+    .rx_block = rx_block_avx2_f32,
     .hadamard_pairs = hadamard_pairs_avx2_f32,
     .expectation = expectation_avx2_f32,
     .expectation_u16 = expectation_u16_avx2_f32,

@@ -44,6 +44,20 @@ void phase_popcount_scalar(std::complex<T>* amp, std::uint64_t index_base,
     amp[i] *= table[popcount(index_base + i)];
 }
 
+/// e^{-i beta X} on one pair (p0 = x0, p1 = x1 as re/im arrays):
+/// y0 = c x0 - i s x1, y1 = -i s x0 + c x1. In real arithmetic on re/im
+/// parts this is four multiply-adds per pair, each product rounded on its
+/// own (this TU has no FMA contraction).
+template <class T>
+inline void rx_butterfly(T* p0, T* p1, T tc, T ts) {
+  const T x0re = p0[0], x0im = p0[1];
+  const T x1re = p1[0], x1im = p1[1];
+  p0[0] = tc * x0re + ts * x1im;
+  p0[1] = tc * x0im - ts * x1re;
+  p1[0] = tc * x1re + ts * x0im;
+  p1[1] = tc * x1im - ts * x0re;
+}
+
 template <class T>
 void phase_rx_scalar(std::complex<T>* amp, const double* costs,
                      std::uint64_t count, double gamma, double c, double s) {
@@ -59,34 +73,46 @@ void phase_rx_scalar(std::complex<T>* amp, const double* costs,
       amp[i] *= std::complex<T>(static_cast<T>(std::cos(ang)),
                                 static_cast<T>(std::sin(ang)));
     }
-    const std::uint64_t i0 = 4 * k;
-    const T x0re = d[i0], x0im = d[i0 + 1];
-    const T x1re = d[i0 + 2], x1im = d[i0 + 3];
-    d[i0] = tc * x0re + ts * x1im;
-    d[i0 + 1] = tc * x0im - ts * x1re;
-    d[i0 + 2] = tc * x1re + ts * x0im;
-    d[i0 + 3] = tc * x1im - ts * x0re;
+    rx_butterfly(d + 4 * k, d + 4 * k + 2, tc, ts);
   }
 }
 
 template <class T>
 void rx_pairs_scalar(std::complex<T>* x, int qubit, std::uint64_t kb,
                      std::uint64_t ke, double c, double s) {
-  // e^{-i beta X}: y0 = c x0 - i s x1, y1 = -i s x0 + c x1. In real
-  // arithmetic on re/im parts this is four FMAs per pair.
   T* d = reinterpret_cast<T*>(x);
   const T tc = static_cast<T>(c);
   const T ts = static_cast<T>(s);
   const std::uint64_t stride = 1ull << qubit;
   for (std::uint64_t k = kb; k < ke; ++k) {
     const std::uint64_t i0 = insert_zero_bit(k, qubit) << 1;
-    const std::uint64_t i1 = i0 + (stride << 1);
-    const T x0re = d[i0], x0im = d[i0 + 1];
-    const T x1re = d[i1], x1im = d[i1 + 1];
-    d[i0] = tc * x0re + ts * x1im;
-    d[i0 + 1] = tc * x0im - ts * x1re;
-    d[i1] = tc * x1re + ts * x0im;
-    d[i1 + 1] = tc * x1im - ts * x0re;
+    rx_butterfly(d + i0, d + i0 + (stride << 1), tc, ts);
+  }
+}
+
+template <class T>
+void rx_block_scalar(std::complex<T>* x, int q0, int k, std::uint64_t gb,
+                     std::uint64_t ge, double c, double s) {
+  // Gather the group's 2^k members, run the k butterflies in ascending
+  // qubit order (member m's partner for qubit q0 + j is m | 2^j), scatter
+  // back: the per-amplitude statements of k rx_pairs_scalar calls.
+  const T tc = static_cast<T>(c);
+  const T ts = static_cast<T>(s);
+  const std::uint64_t stride = 1ull << q0;
+  const unsigned members = 1u << k;
+  T v[2 << detail::kRxBlockMax];
+  for (std::uint64_t g = gb; g < ge; ++g) {
+    std::complex<T>* base = x + insert_zero_bits(g, q0, k);
+    for (unsigned m = 0; m < members; ++m) {
+      v[2 * m] = base[m * stride].real();
+      v[2 * m + 1] = base[m * stride].imag();
+    }
+    for (int j = 0; j < k; ++j)
+      for (unsigned m = 0; m < members; ++m)
+        if (!((m >> j) & 1u))
+          rx_butterfly(v + 2 * m, v + 2 * (m | (1u << j)), tc, ts);
+    for (unsigned m = 0; m < members; ++m)
+      base[m * stride] = std::complex<T>(v[2 * m], v[2 * m + 1]);
   }
 }
 
@@ -162,6 +188,7 @@ const Kernels scalar_kernels = {
     .phase_popcount = phase_popcount_scalar<double>,
     .phase_rx = phase_rx_scalar<double>,
     .rx_pairs = rx_pairs_scalar<double>,
+    .rx_block = rx_block_scalar<double>,
     .hadamard_pairs = hadamard_pairs_scalar<double>,
     .expectation = expectation_scalar<double>,
     .expectation_u16 = expectation_u16_scalar<double>,
@@ -175,6 +202,7 @@ const KernelsF32 scalar_kernels_f32 = {
     .phase_popcount = phase_popcount_scalar<float>,
     .phase_rx = phase_rx_scalar<float>,
     .rx_pairs = rx_pairs_scalar<float>,
+    .rx_block = rx_block_scalar<float>,
     .hadamard_pairs = hadamard_pairs_scalar<float>,
     .expectation = expectation_scalar<float>,
     .expectation_u16 = expectation_u16_scalar<float>,

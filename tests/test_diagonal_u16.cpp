@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <complex>
 
 #include "diagonal/ops.hpp"
 #include "problems/labs.hpp"
@@ -52,12 +54,31 @@ TEST(DiagonalU16, PhaseTableMatchesDirectExponentials) {
   const DiagonalU16 u = DiagonalU16::encode(d);
   const double gamma = 0.413;
   const auto lut = u.phase_table(gamma);
-  ASSERT_EQ(lut.size(), 65536u);
-  for (std::uint32_t c = 0; c < 300; ++c) {
+  ASSERT_EQ(lut.size(), u.phase_table_size());
+  for (std::uint32_t c = 0; c < lut.size(); ++c) {
     const double ang = -gamma * (u.offset() + u.scale() * c);
     EXPECT_NEAR(lut[c].real(), std::cos(ang), 1e-14);
     EXPECT_NEAR(lut[c].imag(), std::sin(ang), 1e-14);
   }
+}
+
+TEST(DiagonalU16, PhaseTableCoversExactlyTheCodesInUse) {
+  // The table holds one factor per code in use, not one per uint16 value:
+  // LABS n=10 energies run 13..285, so the per-layer rebuild costs 273
+  // sin/cos pairs instead of 65536.
+  const CostDiagonal d = CostDiagonal::precompute(labs_terms(10));
+  const DiagonalU16 u = DiagonalU16::encode(d);
+  ASSERT_TRUE(u.is_exact());
+  EXPECT_EQ(u.phase_table_size(),
+            static_cast<std::uint64_t>(d.max_value() - d.min_value()) + 1);
+  EXPECT_EQ(u.phase_table_size(), 273u);
+  std::uint16_t max_code = 0;
+  for (std::uint64_t x = 0; x < u.size(); ++x)
+    max_code = std::max(max_code, u.codes()[x]);
+  EXPECT_EQ(u.max_code(), max_code);
+  aligned_vector<std::complex<float>> lut32;
+  u.phase_table_into(0.3, lut32);
+  EXPECT_EQ(lut32.size(), u.phase_table_size());
 }
 
 TEST(DiagonalU16, ApplyPhaseMatchesDoublePath) {

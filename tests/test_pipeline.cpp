@@ -91,12 +91,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, PipelineCrossValidationTest,
 
 /// Build fused/unfused FurQaoaSimulator pairs with custom tiling and
 /// assert bitwise identity of the evolved state.
-void expect_tiling_identical(int n, int tile_log2, int group_qubits,
-                             int chunk_log2, bool use_u16,
-                             MixerBackend backend, Exec exec) {
-  const TermList terms = sk_terms(n, 11);
+void expect_tiling_identical(const TermList& terms, int tile_log2,
+                             int group_qubits, int chunk_log2, bool use_u16,
+                             MixerBackend backend, Exec exec,
+                             Precision prec = Precision::F64) {
+  const int n = terms.num_qubits();
   FurConfig fused;
   fused.exec = exec;
+  fused.prec = prec;
   fused.use_u16 = use_u16;
   fused.backend = backend;
   fused.pipeline = {.mode = pipeline::PipelineMode::On,
@@ -113,7 +115,15 @@ void expect_tiling_identical(int n, int tile_log2, int group_qubits,
             0.0)
       << "n=" << n << " t=" << tile_log2 << " g=" << group_qubits
       << " c=" << chunk_log2 << " u16=" << use_u16
-      << " fwht=" << (backend == MixerBackend::Fwht);
+      << " fwht=" << (backend == MixerBackend::Fwht)
+      << " f32=" << (prec == Precision::F32);
+}
+
+void expect_tiling_identical(int n, int tile_log2, int group_qubits,
+                             int chunk_log2, bool use_u16,
+                             MixerBackend backend, Exec exec) {
+  expect_tiling_identical(sk_terms(n, 11), tile_log2, group_qubits,
+                          chunk_log2, use_u16, backend, exec);
 }
 
 TEST(PipelineTiling, TileBoundaryEdgeCases) {
@@ -137,6 +147,39 @@ TEST(PipelineTiling, TileBoundaryEdgeCases) {
                               exec);  // two-transform route, tiled
       expect_tiling_identical(10, 5, 2, 4, true, MixerBackend::Fwht,
                               exec);  // chunk == row stride
+    }
+  }
+}
+
+TEST(PipelineTiling, RemainderQubitGroupsMatchTheOracle) {
+  // RX passes advance up to three qubits per register-blocked call, so a
+  // pass whose qubit count is not a multiple of 3 ends on a group of 1 or
+  // 2. Default geometry (t=16, g=6): the tile pass runs phase+q0 then
+  // five triples, and n = 17, 18, 19 end on a strided group of 1, 2, 3.
+  // 4-regular MaxCut keeps the n = 19 precompute cheap (2n terms).
+  SimdLevelGuard guard;
+  const pipeline::Geometry d = pipeline::Geometry::defaults();
+  const auto problem = [](int n) {
+    return maxcut_terms(Graph::random_regular(n, 4, 13));
+  };
+  for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
+    force_simd_level(level);
+    for (const Precision prec : {Precision::F64, Precision::F32}) {
+      for (const int n : {17, 18, 19})
+        expect_tiling_identical(problem(n), d.tile_log2, d.group_qubits,
+                                d.chunk_log2, false, MixerBackend::Fused,
+                                Exec::Parallel, prec);
+      expect_tiling_identical(problem(18), d.tile_log2, d.group_qubits,
+                              d.chunk_log2, true, MixerBackend::Fused,
+                              Exec::Parallel,
+                              prec);  // u16 phase: tile triples from q0
+      // Small tiles end the tile pass on a remainder group too:
+      // t=5 -> tile qubits 1..4 = {3, 1}, strided {3, 1} + {2};
+      // t=6 -> tile {3, 2}, strided {3, 2} + {1}.
+      expect_tiling_identical(problem(11), 5, 4, 2, false,
+                              MixerBackend::Fused, Exec::Serial, prec);
+      expect_tiling_identical(problem(12), 6, 5, 3, false,
+                              MixerBackend::Fused, Exec::Serial, prec);
     }
   }
 }
@@ -327,6 +370,8 @@ TEST(PipelineFusedExpectation, UntimedSessionMatchesTheTwoPassOracle) {
   // simulate+reduce route; the timed one keeps the explicit two-pass
   // split so layer timings stay pure simulation. Expectation AND the
   // post-evolution reductions (overlap here) must agree bitwise.
+  // pipeline=on: the fused reduction needs an active plan even on the
+  // QOKIT_PIPELINE=off CI leg (which would otherwise disable it).
   const QaoaParams sched = test_schedule();
   SimdLevelGuard guard;
   for (const SimdLevel level : {SimdLevel::Scalar, detect_simd_level()}) {
@@ -334,7 +379,9 @@ TEST(PipelineFusedExpectation, UntimedSessionMatchesTheTwoPassOracle) {
     for (const char* name :
          {"auto", "serial", "threaded", "u16", "fwht", "u16:exec=serial"}) {
       const TermList terms = sk_terms(11, 9);
-      const api::ProblemSession session(terms, SimulatorSpec::parse(name));
+      SimulatorSpec spec = SimulatorSpec::parse(name);
+      spec.pipeline = pipeline::PipelineMode::On;
+      const api::ProblemSession session(terms, spec);
       const auto* fur =
           dynamic_cast<const FurQaoaSimulator*>(&session.simulator());
       ASSERT_NE(fur, nullptr) << name;

@@ -15,13 +15,18 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <future>
 #include <optional>
+#include <string>
 #include <thread>
 #include <vector>
 
 #include "api/session.hpp"
 #include "common/rng.hpp"
+#include "fur/simulator.hpp"
+#include "pipeline/layer_plan.hpp"
 #include "problems/graph.hpp"
 #include "problems/maxcut.hpp"
 #include "serve/protocol.hpp"
@@ -254,11 +259,13 @@ TEST(ServeSessionCache, HitsMissesAndCollisionSafety) {
   const TermList problem_a = test_problem(6, 1);
   const TermList problem_b = test_problem(6, 2);
   const SimulatorSpec spec = SimulatorSpec::parse("serial");
-
+  // The precision "serial" resolved to (f32 under the QOKIT_PREC leg).
+  Precision prec = Precision::F64;
   {
     SessionLease first = cache.checkout(problem_a, spec);
     EXPECT_FALSE(first.hit());
     EXPECT_EQ(first->num_qubits(), 6);
+    prec = first->simulator().precision();
   }
   {
     SessionLease again = cache.checkout(problem_a, spec);
@@ -277,7 +284,7 @@ TEST(ServeSessionCache, HitsMissesAndCollisionSafety) {
   EXPECT_EQ(stats.misses, 3u);
   EXPECT_EQ(stats.sessions, 3u);
   EXPECT_EQ(stats.evictions, 0u);
-  EXPECT_GE(stats.bytes, 3 * session_footprint_bytes(6, 1));
+  EXPECT_GE(stats.bytes, 3 * session_footprint_bytes(6, 1, prec));
 }
 
 TEST(ServeSessionCache, ExclusiveCheckoutBlocksSecondCaller) {
@@ -372,8 +379,10 @@ TEST(ServeSessionCache, BuildFailureLeavesNoResidue) {
 TEST(ServeSessionCache, BuiltSessionFootprintChargesPlanAndU16Buffers) {
   // Regression: the (n, terms) estimate missed the buffers only a live
   // session reveals -- the LayerPlan's passes and, for u16 specs, the
-  // uint16 code array plus the 65536-entry phase table -- so u16 sessions
-  // were undercounted by over a MiB and evictions lagged the budget.
+  // uint16 code array plus the phase table -- so u16 sessions were
+  // undercounted and evictions lagged the budget. The phase table is
+  // charged at its real size: one entry per code in use (at most |E| + 1
+  // for unit-weight MaxCut), not one per uint16 value.
   const TermList problem = test_problem(10, 1);
   const api::ProblemSession u16_session(problem,
                                         SimulatorSpec::parse("u16"));
@@ -381,11 +390,18 @@ TEST(ServeSessionCache, BuiltSessionFootprintChargesPlanAndU16Buffers) {
   // mean f32 under the QOKIT_PREC leg; the phase table and statevectors
   // then cost half).
   const Precision prec = u16_session.simulator().precision();
-  const std::uint64_t base =
-      session_footprint_bytes(10, problem.size(), prec);
+  const auto& fur =
+      dynamic_cast<const FurQaoaSimulator&>(u16_session.simulator());
+  const DiagonalU16& diag16 = fur.diagonal_u16();
+  // Cut values run 0..max-cut <= |E|; problem.size() is |E| + 1 (the
+  // constant offset term).
+  EXPECT_LE(diag16.phase_table_size(), problem.size());
   const std::uint64_t dim = std::uint64_t{1} << 10;
-  EXPECT_GE(session_footprint_bytes(u16_session),
-            base + dim * 2 + std::uint64_t{65536} * amplitude_bytes(prec));
+  EXPECT_EQ(session_footprint_bytes(u16_session),
+            session_footprint_bytes(10, problem.size(), prec) +
+                fur.layer_plan().passes().size() *
+                    sizeof(pipeline::LayerPass) +
+                dim * 2 + diag16.phase_table_size() * amplitude_bytes(prec));
   // Plain f64-diagonal sessions charge at least the estimate (plus plan).
   const api::ProblemSession plain(problem, SimulatorSpec::parse("serial"));
   EXPECT_GE(session_footprint_bytes(plain),
@@ -594,6 +610,59 @@ TEST(ScheduleServer, MalformedSocketBytesGetErrorReplyAndClose) {
   std::uint8_t byte;
   EXPECT_EQ(::read(fd, &byte, 1), 0);
   ::close(fd);
+  server.shutdown();
+}
+
+/// Threads in this process, from /proc/self/task (-1 where unavailable).
+int process_thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int count = 0;
+  for (; it != std::filesystem::directory_iterator(); it.increment(ec))
+    ++count;
+  return count;
+}
+
+/// Virtual memory size in KiB from /proc/self/status (-1 where
+/// unavailable): an ended but never-joined thread keeps its stack mapped.
+long process_vm_kib() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line))
+    if (line.rfind("VmSize:", 0) == 0) return std::stol(line.substr(7));
+  return -1;
+}
+
+TEST(ScheduleServer, FinishedConnectionThreadsAreReaped) {
+  // A long-lived server must not hold one unjoined thread per connection
+  // it ever accepted. An exited but unjoined thread leaves
+  // /proc/self/task yet keeps its 8 MiB stack mapped, so VmSize growth is
+  // the signal that catches a missing join; the thread count bounds
+  // connections that never ended.
+  ServerConfig config;
+  config.workers = 1;
+  config.listen_path = "qokit_serve_reap.sock";
+  ScheduleServer server(config);
+  const Request request = make_request(8, 1, random_schedules(1, 1, 4));
+  const auto cycle = [&] {
+    Client client(server.config().listen_path);
+    EXPECT_EQ(client.call(request).status, Status::Ok);
+  };
+  cycle();  // warm the session cache and the thread-stack cache
+  const int threads_before = process_thread_count();
+  const long vm_before = process_vm_kib();
+  constexpr int kCycles = 256;
+  for (int i = 0; i < kCycles; ++i) cycle();
+  // The acceptor reaps on each accept, so at most the last few finished
+  // connections can still be pending here.
+  if (threads_before > 0) {
+    EXPECT_LE(process_thread_count(), threads_before + 4);
+  }
+  if (vm_before > 0) {
+    // 256 retained thread stacks would be gigabytes of address space.
+    EXPECT_LT(process_vm_kib() - vm_before, 256L * 1024);
+  }
   server.shutdown();
 }
 

@@ -373,6 +373,15 @@ TEST(ProblemSession, OptimizeMatchesLegacyOneLineOptimizer) {
   EXPECT_TRUE(r.iterations.has_value());
   EXPECT_TRUE(r.converged.has_value());
 
+  // optimize() drives the session's own batch evaluator, so a repeat run
+  // allocates no statevectors (a fresh evaluator per call allocated an
+  // initial state plus a scratch state per thread every time).
+  const std::uint64_t baseline = aligned_allocation_count();
+  const api::EvalResult again = session.optimize(optimizer);
+  EXPECT_EQ(aligned_allocation_count(), baseline);
+  EXPECT_EQ(*again.expectation, *r.expectation);
+  EXPECT_EQ(*again.evaluations, *r.evaluations);
+
   api::OptimizerSpec invalid_depth;
   invalid_depth.p = 0;
   EXPECT_THROW((void)session.optimize(invalid_depth), std::invalid_argument);

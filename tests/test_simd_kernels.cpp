@@ -8,6 +8,10 @@
 
 #include <cmath>
 #include <complex>
+#include <cstring>
+#include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "common/bitops.hpp"
@@ -146,12 +150,14 @@ TEST(SimdPhase, PopcountTableMatchesScalar) {
   if (!has_vector_level()) GTEST_SKIP() << "scalar-only build/host";
   SimdLevelGuard guard;
   const int n = 11;
-  aligned_vector<cdouble> table(static_cast<std::size_t>(n) + 1);
-  for (int w = 0; w <= n; ++w) {
+  // Nonzero index_base mimics a distributed rank slice: the table covers
+  // the global weights, and 12345 + 2^11 < 2^14 global amplitudes.
+  const int n_global = 14;
+  aligned_vector<cdouble> table(static_cast<std::size_t>(n_global) + 1);
+  for (int w = 0; w <= n_global; ++w) {
     const double ang = 0.3 * w - 0.7;
     table[w] = cdouble(std::cos(ang), std::sin(ang));
   }
-  // Nonzero index_base mimics a distributed rank slice.
   for (std::uint64_t base : {0ull, 12345ull}) {
     StateVector a = random_state(n, 31);
     StateVector b = a;
@@ -212,6 +218,156 @@ TEST(SimdButterflies, FwhtMixerMatchesScalar) {
     apply_mixer_x_fwht(b, 0.77, exec);
     expect_states_close(a, b, 1e-11, "fwht-mixer");
   }
+}
+
+// ------------------------------------------- register-blocked butterflies
+
+/// Every compiled family whose ISA this host runs, at amplitude scalar T
+/// (index 0: scalar, index 1: AVX2).
+template <class T>
+std::vector<const simd::detail::KernelsT<T>*> runnable_families() {
+  std::vector<const simd::detail::KernelsT<T>*> out;
+  if constexpr (std::is_same_v<T, double>)
+    out.push_back(&simd::detail::scalar_kernels);
+  else
+    out.push_back(&simd::detail::scalar_kernels_f32);
+#if QOKIT_SIMD_X86
+  if (detect_simd_level() == SimdLevel::Avx2) {
+    if constexpr (std::is_same_v<T, double>)
+      out.push_back(&simd::detail::avx2_kernels);
+    else
+      out.push_back(&simd::detail::avx2_kernels_f32);
+  }
+#endif
+  return out;
+}
+
+template <class T>
+aligned_vector<std::complex<T>> random_amplitudes(int n, std::uint64_t seed) {
+  Rng rng(seed);
+  aligned_vector<std::complex<T>> amp(dim_of(n));
+  for (auto& a : amp)
+    a = std::complex<T>(static_cast<T>(rng.uniform(-1.0, 1.0)),
+                        static_cast<T>(rng.uniform(-1.0, 1.0)));
+  return amp;
+}
+
+template <class T>
+bool bitwise_equal(const aligned_vector<std::complex<T>>& a,
+                   const aligned_vector<std::complex<T>>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(a[0])) == 0;
+}
+
+/// rx_block over qubits [q0, q0+k) must reproduce k successive rx_pairs
+/// calls bit for bit, in both forms the layer executor issues: contiguous
+/// (the whole array, and one aligned tile of 2^(q0+k+1) amplitudes) and
+/// strided rows (one chunk per member row; the executor's chunks are >= 4
+/// amplitudes and never exceed the row stride 2^q0, so q0 >= 2).
+template <class T>
+void expect_rx_block_matches_rx_pairs() {
+  const int n = 14;  // room for the q0 = 9, k = 3 tile at offset 2^13
+  const std::uint64_t dim = dim_of(n);
+  const double c = std::cos(0.61), s = std::sin(0.61);
+  const auto families = runnable_families<T>();
+  for (std::size_t f = 0; f < families.size(); ++f) {
+    const simd::detail::KernelsT<T>* fam = families[f];
+    for (const int q0 : {0, 1, 2, 3, 5, 9}) {
+      for (int k = 1; k <= simd::detail::kRxBlockMax; ++k) {
+        const std::string where = "family " + std::to_string(f) +
+                                  " q0=" + std::to_string(q0) +
+                                  " k=" + std::to_string(k);
+        const auto input =
+            random_amplitudes<T>(n, 101 + static_cast<std::uint64_t>(q0));
+        // Contiguous: whole array, then one tile at offset `tile`.
+        const std::uint64_t tile = dim_of(q0 + k + 1);
+        for (const auto& [lo, hi] :
+             {std::pair{std::uint64_t{0}, dim}, std::pair{tile, 2 * tile}}) {
+          auto a = input;
+          auto b = input;
+          for (int j = 0; j < k; ++j)
+            fam->rx_pairs(a.data(), q0 + j, lo >> 1, hi >> 1, c, s);
+          fam->rx_block(b.data(), q0, k, lo >> k, hi >> k, c, s);
+          EXPECT_TRUE(bitwise_equal(a, b))
+              << "contiguous [" << lo << ", " << hi << ") " << where;
+        }
+        if (q0 < 2) continue;
+        // Strided rows: the last `chunk` columns of the 2^k member rows
+        // above base amplitude i0 (bits [q0, q0+k) clear); the odd chunk
+        // also ends on a partial vector step.
+        for (const std::uint64_t chunk : {4ull, 5ull, 16ull}) {
+          if (chunk > dim_of(q0)) continue;
+          const std::uint64_t i0 = dim_of(n - 1) + dim_of(q0) - chunk;
+          auto a = input;
+          auto b = input;
+          for (int j = 0; j < k; ++j)
+            for (std::uint64_t m = 0; m < (1ull << k); ++m) {
+              if ((m >> j) & 1) continue;
+              const std::uint64_t kb = remove_bit(i0 + (m << q0), q0 + j);
+              fam->rx_pairs(a.data(), q0 + j, kb, kb + chunk, c, s);
+            }
+          const std::uint64_t gb = remove_bits(i0, q0, k);
+          fam->rx_block(b.data(), q0, k, gb, gb + chunk, c, s);
+          EXPECT_TRUE(bitwise_equal(a, b))
+              << "strided chunk " << chunk << " " << where;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdButterflies, RxBlockEqualsSuccessiveRxPairsBitwise) {
+  expect_rx_block_matches_rx_pairs<double>();
+  expect_rx_block_matches_rx_pairs<float>();
+}
+
+#if QOKIT_SIMD_X86
+/// The AVX2 rx_pairs against a std::fma reference of the formula it
+/// compiled to before the fmsubadd rewrite:
+///   re = fma(c, a_re, s * b_im),  im = fma(c, a_im, s * -b_re)
+/// with the product s * b rounded on its own. f32 qubit-1 pairs never fill
+/// a register and run the scalar family's separately rounded products.
+template <class T>
+void expect_avx2_rx_pairs_matches_fma_reference(
+    const simd::detail::KernelsT<T>& avx2) {
+  const int n = 11;
+  const double c = std::cos(-0.37), s = std::sin(-0.37);
+  const T tc = static_cast<T>(c), ts = static_cast<T>(s);
+  for (int q = 0; q < n; ++q) {
+    const auto input = random_amplitudes<T>(n, 211 + static_cast<unsigned>(q));
+    auto got = input;
+    avx2.rx_pairs(got.data(), q, 0, dim_of(n - 1), c, s);
+    auto want = input;
+    const bool fused = !(std::is_same_v<T, float> && q == 1);
+    const auto update = [&](std::complex<T> a, std::complex<T> b) {
+      const T bre = b.real(), bim = b.imag();
+      if (fused)
+        return std::complex<T>(std::fma(tc, a.real(), ts * bim),
+                               std::fma(tc, a.imag(), ts * -bre));
+      return std::complex<T>(tc * a.real() + ts * bim,
+                             tc * a.imag() - ts * bre);
+    };
+    for (std::uint64_t k = 0; k < dim_of(n - 1); ++k) {
+      const std::uint64_t i0 = insert_zero_bit(k, q);
+      const std::uint64_t i1 = i0 | dim_of(q);
+      const std::complex<T> x0 = input[i0], x1 = input[i1];
+      want[i0] = update(x0, x1);
+      want[i1] = update(x1, x0);
+    }
+    EXPECT_TRUE(bitwise_equal(got, want)) << "qubit " << q;
+  }
+}
+#endif
+
+TEST(SimdButterflies, Avx2RxPairsMatchesFmaReferenceBitwise) {
+#if QOKIT_SIMD_X86
+  if (detect_simd_level() != SimdLevel::Avx2)
+    GTEST_SKIP() << "host lacks AVX2+FMA";
+  expect_avx2_rx_pairs_matches_fma_reference(simd::detail::avx2_kernels);
+  expect_avx2_rx_pairs_matches_fma_reference(simd::detail::avx2_kernels_f32);
+#else
+  GTEST_SKIP() << "scalar-only build";
+#endif
 }
 
 TEST(SimdReductions, MatchScalar) {
